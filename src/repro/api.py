@@ -7,18 +7,13 @@ result-returning :func:`classify`, path creation, multipath groups and
 pools, the experiment testbed, and the names the bundled examples use.
 The deep modules (``repro.core``, ``repro.net``, ...) remain importable —
 they are the implementation surface and may reorganize between releases;
-this facade is the surface that holds still.
-
-Legacy access: attribute lookups that miss ``__all__`` fall through to
-the underlying layers with a :class:`DeprecationWarning` (see
-:func:`__getattr__`), so older scripts keep running while the warning
-points them at the supported name.
+this facade is the surface that holds still.  A name the facade does
+not export is an :class:`AttributeError`; import it from its layer.
 """
 
 from __future__ import annotations
 
 import asyncio
-import warnings
 from typing import Any, Mapping, Optional, Tuple
 
 from . import params
@@ -44,7 +39,6 @@ from .core import (
     PA_PATHNAME,
     PA_SCHED_POLICY,
     PA_SCHED_PRIORITY,
-    PA_SPECIALIZE,
     PA_TRACE,
     SOURCE_CACHE,
     SOURCE_DEMUX,
@@ -189,14 +183,6 @@ class PathBuilder:
         """Let the path's thread drain up to *limit* messages per
         scheduler dispatch (``PA_BATCH``, DESIGN.md §13)."""
         return self.invariant(PA_BATCH, int(limit))
-
-    def specialize(self, enabled: bool = True) -> "PathBuilder":
-        """Opt this path in (or, with ``False``, explicitly out) of the
-        specialized execution tier: the compile phase may ``exec``-
-        generate one fused function per chain direction (``PA_SPECIALIZE``,
-        DESIGN.md §15).  Unset, the ``REPRO_SPECIALIZE`` environment
-        default decides."""
-        return self.invariant(PA_SPECIALIZE, bool(enabled))
 
     def admission(self, hook: Optional[AdmissionHook]) -> "PathBuilder":
         """Gate :meth:`build` through an admission hook (or ``None``)."""
@@ -587,7 +573,7 @@ __all__ = [
     # attributes
     "PA_NET_PARTICIPANTS", "PA_LOCAL_PORT", "PA_PATHNAME", "PA_FRAME_RATE",
     "PA_SCHED_POLICY", "PA_SCHED_PRIORITY", "PA_INQ_LEN", "PA_OUTQ_LEN",
-    "PA_MEM_BUDGET", "PA_TRACE", "PA_BATCH", "PA_SPECIALIZE",
+    "PA_MEM_BUDGET", "PA_TRACE", "PA_BATCH",
     # scheduling policies
     "POLICY_RR", "POLICY_EDF",
     # admission
@@ -613,49 +599,3 @@ __all__ = [
     # tunables
     "params",
 ]
-
-
-#: Facade names renamed during the backend/executor redesign: the old
-#: spelling resolves through :func:`__getattr__` with a deprecation
-#: warning naming the supported one.
-_RENAMED = {
-    "AsyncExecutor": "AioExecutor",
-    "AsyncWorld": "AioWorld",
-    "SocketDevice": "SocketNetDevice",
-    "WallclockBridge": "WallClockBridge",
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shim: resolve legacy names from the deep layers.
-
-    Anything public that the facade does not re-export — older scripts
-    reached through ``repro.api`` for names like ``MflowRouter`` during
-    the facade's introduction — still resolves, with a
-    :class:`DeprecationWarning` naming the supported import.  Facade
-    names renamed by the wall-clock redesign (``_RENAMED``) shim the
-    same way.
-    """
-    if name.startswith("_"):
-        # Never shim private/dunder probes (the import machinery asks for
-        # ``__path__``; copy/pickle ask for ``__reduce__`` and friends).
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-
-    if name in _RENAMED:
-        supported = _RENAMED[name]
-        warnings.warn(
-            f"repro.api.{name} was renamed: use repro.api.{supported}",
-            DeprecationWarning, stacklevel=2)
-        return globals()[supported]
-
-    from . import core, display, fs, http, kernel, mpeg, multipath, net, sim
-
-    for layer in (core, net, sim, kernel, mpeg, display, multipath, fs, http):
-        value = getattr(layer, name, None)
-        if value is not None:
-            warnings.warn(
-                f"repro.api.{name} is deprecated: import it from "
-                f"{layer.__name__} (or use a name in repro.api.__all__)",
-                DeprecationWarning, stacklevel=2)
-            return value
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")

@@ -20,7 +20,6 @@ from .attributes import (
     PA_PROTID,
     PA_SCHED_POLICY,
     PA_SCHED_PRIORITY,
-    PA_SPECIALIZE,
     PA_TRACE,
     Attrs,
     as_attrs,
@@ -92,7 +91,7 @@ __all__ = [
     "PA_NET_PARTICIPANTS", "PA_PATHNAME", "PA_PROTID", "PA_SCHED_POLICY",
     "PA_SCHED_PRIORITY", "PA_FRAME_RATE", "PA_INQ_LEN", "PA_OUTQ_LEN",
     "PA_MEM_BUDGET", "PA_AVG_PROC_TIME", "PA_AVG_RTT", "PA_TRACE",
-    "PA_BATCH", "PA_SPECIALIZE",
+    "PA_BATCH",
     "Msg", "MsgBatch",
     "Iface", "NetIface", "RtNetIface", "NsIface", "WinIface", "FsIface",
     "ServiceType", "iface_satisfies",

@@ -75,13 +75,6 @@ PA_TRACE = "PA_TRACE"
 #: the batched execution machinery of DESIGN.md §13.
 PA_BATCH = "PA_BATCH"
 
-#: Specialized execution tier opt-in/out for this path (DESIGN.md §15).
-#: ``True``/``False`` overrides the ``path_create(specialize=...)``
-#: argument, which overrides the ``REPRO_SPECIALIZE`` environment
-#: default.  Specialized paths ``exec``-generate one fused function per
-#: compiled chain; observed (``PA_TRACE``) paths never specialize.
-PA_SPECIALIZE = "PA_SPECIALIZE"
-
 
 class Attrs:
     """An ordered set of name/value attribute pairs.

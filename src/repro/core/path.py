@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .attributes import Attrs
 from .errors import PathStateError
 from .queues import BWD_IN, BWD_OUT, FWD_IN, FWD_OUT, PathQueue, QUEUE_ROLE_NAMES
+from .specialize import specialize_chain
 from .stage import BWD, FWD, Stage, run_compiled, run_compiled_batch
 
 _pid_counter = itertools.count(1)
@@ -93,6 +94,15 @@ class Path:
     #: headers (~48 B each), and the attribute set header.
     MODELED_BYTES = 2 * 8 + 8 + 8 + 4 * 48 + 64
 
+    #: Tier pins for tests, not configuration.  ``specialize`` false
+    #: stops :meth:`compile_chains` generating fused functions (the
+    #: compiled walk then runs every message); ``interpret_only`` true
+    #: forces tier 0, the pointer-chase recursion.  The differential
+    #: suites set them per path or per class to run the tiers against
+    #: each other.
+    specialize = True
+    interpret_only = False
+
     def __init__(self, attrs: Optional[Attrs] = None,
                  queue_lengths: Optional[Dict[int, Optional[int]]] = None):
         self.pid = next(_pid_counter)
@@ -119,19 +129,14 @@ class Path:
         self._compiled: List[Optional[tuple]] = [None, None]
         self._compiled_gen = -1
         #: Third execution tier (interpreted -> compiled -> specialized):
-        #: when ``specialize`` is set (path_create's ``PA_SPECIALIZE`` /
-        #: ``specialize=`` / ``REPRO_SPECIALIZE`` resolution), each
-        #: compiled chain is additionally handed to
+        #: each compiled chain is additionally handed to
         #: :func:`repro.core.specialize.specialize_chain`, which may
         #: ``exec``-generate one fused function for the whole recognized
-        #: stage prefix.  The slots are rebuilt by :meth:`compile_chains`,
-        #: so the same ``chain_generation`` mismatch that recompiles the
-        #: chain also discards a stale specialized function — interposition
-        #: deoptimizes before the next message.  ``interpret_only`` forces
-        #: tier 0 (pointer-chase recursion) regardless; the differential
-        #: harness uses it to pin tiers against each other.
-        self.specialize = False
-        self.interpret_only = False
+        #: stage prefix (see :attr:`specialize`).  The slots are rebuilt
+        #: by :meth:`compile_chains`, so the same ``chain_generation``
+        #: mismatch that recompiles the chain also discards a stale
+        #: specialized function — interposition deoptimizes before the
+        #: next message.
         self._specialized: List[Optional[Callable]] = [None, None]
         #: Messages whose traversal ran entirely inside a generated
         #: function (kept off ``PathStats`` so the books stay structurally
@@ -250,15 +255,16 @@ class Path:
 
     def compile_chains(self) -> None:
         """Flatten both directions' interface chains into precomputed
-        ``((iface, deliver_fn), ...)`` tuples (phase 4's follow-up: after
-        the transformation fixpoint settles the function pointers, the
-        pointer chase itself is compiled away).  Either direction may be
-        uncompilable (``None``) — delivery then falls back to recursion.
+        ``((iface, deliver_fn, intercept), ...)`` tuples (phase 4's
+        follow-up: after the transformation fixpoint settles the function
+        pointers, the pointer chase itself is compiled away), then fuse
+        each recognized chain into a generated function.  Either
+        direction may be uncompilable (``None``) — delivery then falls
+        back to recursion.
         """
         self._compiled = [self._compile_direction(FWD),
                           self._compile_direction(BWD)]
         if self.specialize and self.observer is None:
-            from .specialize import specialize_chain
             self._specialized = [
                 specialize_chain(self, FWD, self._compiled[FWD]),
                 specialize_chain(self, BWD, self._compiled[BWD])]
@@ -285,12 +291,9 @@ class Path:
                 # probes) — flattening stops here; it recurses onward.
                 if not chain:
                     return None  # entry brackets everything: plain recursion
-                chain.append((iface, fn, False, None))
+                chain.append((iface, fn, False))
                 return tuple(chain)
-            stage = iface.stage
-            fn_batch = stage.deliver_batch_fn(direction) \
-                if stage is not None else None
-            chain.append((iface, fn, True, fn_batch))
+            chain.append((iface, fn, True))
             iface = iface.next
         return tuple(chain)
 

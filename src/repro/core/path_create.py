@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from .attributes import (PA_INQ_LEN, PA_OUTQ_LEN, PA_SPECIALIZE, PA_TRACE,
-                         Attrs, as_attrs)
+from .attributes import PA_INQ_LEN, PA_OUTQ_LEN, PA_TRACE, Attrs, as_attrs
 from .errors import PathCreationError
 from .path import Path
 from .queues import BWD_IN, BWD_OUT, FWD_IN, FWD_OUT
 from .router import NextHop, Router
-from .specialize import default_enabled as _specialize_default
 from .transform import TransformRegistry
 
 #: Safety cap on path length; the paper's longest demonstration path has 6
@@ -35,8 +33,7 @@ AdmissionHook = Callable[[Path], None]
 
 def path_create(router: Router, attrs: Optional[Mapping[str, Any]] = None,
                 transforms: Optional[TransformRegistry] = None,
-                admission: Optional[AdmissionHook] = None,
-                specialize: Optional[bool] = None) -> Path:
+                admission: Optional[AdmissionHook] = None) -> Path:
     """Create a path starting at *router* with invariants *attrs*.
 
     Parameters
@@ -54,12 +51,6 @@ def path_create(router: Router, attrs: Optional[Mapping[str, Any]] = None,
     admission:
         Optional admission-control hook consulted as the path grows, so a
         denied path aborts before establish runs.
-    specialize:
-        Whether the compile phase may additionally ``exec``-generate a
-        fused per-path function (the third execution tier, DESIGN.md
-        §15).  Resolution order: a ``PA_SPECIALIZE`` attribute wins, then
-        this argument, then the ``REPRO_SPECIALIZE`` environment default
-        (off).
 
     Raises
     ------
@@ -137,14 +128,10 @@ def path_create(router: Router, attrs: Optional[Mapping[str, Any]] = None,
     # Compile: with the transformation fixpoint reached (and any probes
     # wrapped), the deliver pointers are final — flatten each direction's
     # interface chain into the tuple Path.deliver executes as a tight
-    # loop.  Later set_deliver/wrap_deliver calls bump the path's
-    # generation counter and recompilation happens transparently.
-    chosen = attrs.get(PA_SPECIALIZE)
-    if chosen is None:
-        chosen = specialize
-    if chosen is None:
-        chosen = _specialize_default()
-    path.specialize = bool(chosen)
+    # loop, and fuse recognized chains into generated functions (the
+    # specialized tier, DESIGN.md §15).  Later set_deliver/wrap_deliver
+    # calls bump the path's generation counter and recompilation happens
+    # transparently.
     path.compile_chains()
     return path
 

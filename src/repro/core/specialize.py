@@ -40,15 +40,16 @@ batched-advertisement coalescing) are emitted inline, calling back into
 stage methods for the rare cases.
 
 **Deopt protocol.**  A generated function is valid for exactly one
-``chain_generation``.  ``set_deliver``/``set_deliver_batch``/
-``wrap_deliver`` bump the generation, and ``Path.deliver``/
-``deliver_batch`` compare generations *before* consulting the specialized
-slot — so interposition (probes, fault injectors, transformations)
+``chain_generation``.  ``set_deliver``/``wrap_deliver`` bump the
+generation, and ``Path.deliver``/``deliver_batch`` compare generations
+*before* consulting the specialized slot — so interposition (probes, fault injectors, transformations)
 deoptimizes to the exact slow path before the next message is seen.
 Recompilation then re-runs recognition: a wrapped stage fails the
 pristine check and the prefix shortens (or specialization is dropped).
 Observed paths (``PA_TRACE``) never specialize, mirroring the compiled
-tier.
+tier.  Every other path specializes whenever its chain is recognized;
+tests pin the compiled tier through the ``Path.specialize`` class
+attribute.
 
 Stage recognition is a registry: the net modules register a *specializer*
 per stage class (:func:`register_specializer`), keeping each stage's
@@ -58,7 +59,6 @@ here only knows how to fuse fragments.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from .message import Msg
@@ -69,21 +69,7 @@ from .stage import DIRECTION_NAMES, run_compiled
 #: shortest prefix that pays.
 MIN_PREFIX = 3
 
-#: Environment variable forcing the default for paths created without an
-#: explicit ``specialize=`` / ``PA_SPECIALIZE`` choice (the CI matrix leg
-#: runs the whole tier-1 suite with it set to ``1``).
-ENV_VAR = "REPRO_SPECIALIZE"
-
-_TRUTHY = ("1", "true", "on", "yes")
-
 _REGISTRY: Dict[Type, Callable[..., Optional["StageFragment"]]] = {}
-
-
-def default_enabled() -> bool:
-    """The process-wide default for paths that did not choose: the
-    ``REPRO_SPECIALIZE`` environment variable, read at path-create time
-    so tests can flip it per monkeypatch."""
-    return os.environ.get(ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 def register_specializer(stage_cls: Type,
@@ -91,7 +77,7 @@ def register_specializer(stage_cls: Type,
                          ) -> None:
     """Register *specializer* as the recognizer/emitter for *stage_cls*.
 
-    ``specializer(stage, iface, fn, fn_batch, direction, terminal)`` is
+    ``specializer(stage, iface, fn, direction, terminal)`` is
     called during chain recognition and returns a :class:`StageFragment`
     when the stage can be fused — or ``None`` to stop the prefix there
     (interposed function, wrong direction, disqualifying configuration).
@@ -112,9 +98,9 @@ class StageFragment:
         pops coalesce into a single ``Msg.strip``.
     cost_expr:
         ``cost_expr(ctx)`` -> expression string for the stage's per-
-        message charge, evaluated once per batch (like the vectorized
-        deliver functions, so live ``params`` monkeypatching stays
-        visible).  ``None`` emits no charge.
+        message charge, evaluated once per batch (so live ``params``
+        monkeypatching between batches stays visible).  ``None`` emits
+        no charge.
     bail:
         ``bail(ctx)`` -> lines emitted *before any mutation* that may
         route a message through ``ctx.bail_action()`` — the exact
@@ -203,14 +189,14 @@ def specialize_chain(path: Any, direction: int,
     if chain is None or len(chain) < MIN_PREFIX:
         return None
     frags: List[StageFragment] = []
-    for index, (iface, fn, intercept, fn_batch) in enumerate(chain):
+    for index, (iface, fn, intercept) in enumerate(chain):
         if not intercept:
             break  # bracketing stage: the tail runner recurses through it
         stage = iface.stage
         specializer = _REGISTRY.get(type(stage)) if stage is not None else None
         if specializer is None:
             break
-        frag = specializer(stage, iface, fn, fn_batch, direction,
+        frag = specializer(stage, iface, fn, direction,
                            terminal=(index == len(chain) - 1))
         if frag is None:
             break

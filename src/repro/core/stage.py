@@ -67,13 +67,6 @@ class Stage:
         self.enter_service = enter_service
         self.exit_service = exit_service
         self.end = [iface_factory(stage=self), iface_factory(stage=self)]
-        #: Optional vectorized deliver functions, one per direction
-        #: (DESIGN.md §13).  A batch function processes a whole run of
-        #: messages in one call; any replacement or wrapping of the
-        #: scalar deliver function clears the slot, so interposed code
-        #: (probes, fault injectors, transformations) always sees every
-        #: message individually.
-        self._deliver_batch: list = [None, None]
         #: Arbitrary per-stage state (reassembly buffers, sequence numbers).
         self.state: dict = {}
 
@@ -104,46 +97,16 @@ class Stage:
         next traversal recompiles transparently.
         """
         self.end[direction].deliver = fn
-        # A new scalar function invalidates any vectorized shortcut: the
-        # batch function was written against the *previous* per-message
-        # semantics.
-        self._deliver_batch[direction] = None
         if self.path is not None:
             self.path.chain_generation += 1
-
-    def set_deliver_batch(self, direction: int, fn: Callable[..., Any]) -> None:
-        """Install a vectorized deliver function for *direction*.
-
-        ``fn(iface, msgs, direction, **kwargs)`` must be observably
-        equivalent to calling the scalar deliver function once per
-        message in order.  It returns the list of messages to hand to
-        the next stage (messages it absorbed or dropped are accounted
-        internally, exactly as the scalar function would), or ``None``
-        to decline the run — e.g. when not every message carries the
-        validated-flow annotation — in which case the compiled loop
-        falls back to per-message execution from this stage on (the
-        vectorization fallback rule, DESIGN.md §13).
-
-        Install it *after* :meth:`set_deliver` for the same direction:
-        installing a scalar function clears the batch slot.
-        """
-        self._deliver_batch[direction] = fn
-        if self.path is not None:
-            self.path.chain_generation += 1
-
-    def deliver_batch_fn(self, direction: int) -> Optional[Callable[..., Any]]:
-        return self._deliver_batch[direction]
 
     def deliver_fn(self, direction: int) -> Optional[Callable[..., Any]]:
         return getattr(self.end[direction], "deliver", None)
 
-    def has_pristine_deliver(self, direction: int, func: Callable[..., Any],
-                             batch_func: Optional[Callable[..., Any]] = None
-                             ) -> bool:
+    def has_pristine_deliver(self, direction: int,
+                             func: Callable[..., Any]) -> bool:
         """True when the installed deliver function for *direction* is the
-        un-interposed bound method whose underlying function is *func*,
-        and the batch slot is either empty or (when *batch_func* is
-        given) the pristine vectorized method.
+        un-interposed bound method whose underlying function is *func*.
 
         This is the recognition test the specialized execution tier runs
         before fusing a stage's body into generated code: any wrapper or
@@ -154,13 +117,7 @@ class Stage:
         above perform (the deopt protocol, DESIGN.md §15).
         """
         installed = self.deliver_fn(direction)
-        if getattr(installed, "__func__", None) is not func:
-            return False
-        batch = self._deliver_batch[direction]
-        if batch is None:
-            return True
-        return (batch_func is not None
-                and getattr(batch, "__func__", None) is batch_func)
+        return getattr(installed, "__func__", None) is func
 
     def wrap_deliver(self, direction: int,
                      wrapper: Callable[[Callable[..., Any]],
@@ -177,9 +134,6 @@ class Stage:
         if inner is None:
             return False
         self.end[direction].deliver = wrapper(inner)
-        # The wrapper must see every message: drop the vectorized
-        # shortcut for this direction.
-        self._deliver_batch[direction] = None
         if self.path is not None:
             self.path.chain_generation += 1
         return True
@@ -321,8 +275,8 @@ def forward(iface: Iface, msg: Any, direction: int,
 
 def run_compiled(chain: tuple, msg: Any, direction: int,
                  kwargs: dict) -> Any:
-    """Execute a precompiled ``((iface, fn, intercept, fn_batch), ...)``
-    chain as a tight loop.
+    """Execute a precompiled ``((iface, fn, intercept), ...)`` chain as a
+    tight loop.
 
     Each stage's deliver function runs exactly as it would recursively;
     its own ``forward`` call is intercepted (see :class:`_Trampoline`)
@@ -344,7 +298,7 @@ def run_compiled(chain: tuple, msg: Any, direction: int,
     # function raises mid-loop, so the loop body itself stays bare — on
     # the hot path every statement is paid once per stage.
     try:
-        for iface, fn, intercept, _fn_batch in chain:
+        for iface, fn, intercept in chain:
             if not intercept:
                 # Bracketing stage: run it recursively so downstream
                 # stages execute inside its frame (containment, probes).
@@ -373,62 +327,24 @@ def run_compiled_batch(chain: tuple, msgs: Any, direction: int,
 
     The trampoline state is saved and restored **once per batch** instead
     of once per message — the batched analogue of :func:`run_compiled`.
-
-    Execution is **stage-major while it can be**: as long as the next
-    chain entry carries a vectorized deliver function (see
-    :meth:`Stage.set_deliver_batch`) and that function accepts the run,
-    the whole run crosses the stage in one call.  At the first stage
-    with no batch function — or whose batch function declines by
-    returning ``None`` (e.g. a message in the run lacks the
-    validated-flow annotation) — execution switches to message-major:
-    each surviving message runs to completion through the remaining
-    stages, one at a time, in order.  Both regimes preserve arrival
-    order and per-message semantics — absorption, turn-arounds, fan-out
-    flushes, drop accounting — exactly as delivering each message
-    individually would.
+    Each message runs to completion through the chain, one at a time, in
+    arrival order, so absorption, turn-arounds, fan-out flushes and drop
+    accounting are exactly those of delivering each message individually.
 
     A stage that cannot be flattened (``intercept`` false: fault
     containment, whole-chain probes) falls back to per-message recursion
-    exactly as in :func:`run_compiled` — the vectorization fallback rule.
+    exactly as in :func:`run_compiled`.
 
     Returns the list of per-message traversal results, in order.
-    Messages consumed inside a vectorized stage (absorbed, dropped, or
-    deposited by the stage itself) contribute ``None`` entries.
     """
     t = _TRAMPOLINE
     saved = (t.expected, t.direction, t.pending)
     t.direction = direction
     results = []
     try:
-        # Stage-major prologue: drive whole runs through consecutive
-        # vectorized stages.  Batch functions never call forward(), so
-        # the trampoline must not expect a deferral while they run.
-        t.expected = None
-        start = 0
-        run = msgs
-        while start < len(chain):
-            iface, fn, intercept, fn_batch = chain[start]
-            if fn_batch is None or not intercept:
-                break
-            out = fn_batch(iface, run, direction, **kwargs)
-            if out is None:
-                break  # declined: per-message from this stage on
-            start += 1
-            if len(out) != len(run):
-                results.extend([None] * (len(run) - len(out)))
-            run = out
-            if not run:
-                return results  # the whole run was consumed
-        else:
-            # Every stage vectorized yet messages survived the last one:
-            # the final stage forwarded with no next interface.
-            raise RuntimeError(
-                f"{chain[-1][0]!r} has no next interface; interior "
-                f"stages must be chained before delivery")
-        remaining = chain[start:] if start else chain
-        for msg in run:
+        for msg in msgs:
             kw = kwargs
-            for iface, fn, intercept, _fn_batch in remaining:
+            for iface, fn, intercept in chain:
                 if not intercept:
                     # Bracketing stage: recurse so downstream stages run
                     # inside its frame (containment, probes).

@@ -30,7 +30,6 @@ from ..core.attributes import (
     PA_PATHNAME,
     PA_SCHED_POLICY,
     PA_SCHED_PRIORITY,
-    PA_SPECIALIZE,
     PA_TRACE,
     Attrs,
 )
@@ -148,17 +147,10 @@ class ScoutKernel:
                  inline_icmp: bool = False,
                  vsync_hz: float = params.VSYNC_HZ,
                  flow_cache_capacity: int = 128,
-                 specialize: Optional[bool] = None,
                  udp_sink: bool = False,
                  display: bool = True,
                  device=None):
         self.world = world
-        #: Kernel-wide default for the specialized execution tier
-        #: (DESIGN.md §15), handed to every path_create below; a
-        #: per-path ``PA_SPECIALIZE`` attribute still overrides it and
-        #: ``None`` defers to the ``REPRO_SPECIALIZE`` environment
-        #: default.
-        self.specialize = specialize
         self.segment = segment
         self.transforms = transforms if transforms is not None \
             else default_transforms()
@@ -490,9 +482,9 @@ class ScoutKernel:
 
         The whole batch rides :meth:`~repro.core.path.Path.deliver_batch`
         (one compiled-trampoline save/restore) unless some message needs a
-        mid-path injection (a reassembled datagram entering at IP) — those
-        cannot vectorize, so the batch falls back to per-message traversal
-        to preserve arrival order exactly.
+        mid-path injection (a reassembled datagram entering at IP) — then
+        the batch falls back to per-message traversal to preserve arrival
+        order exactly.
         """
         if any("entry_router" in msg.meta for msg in msgs):
             for msg in msgs:
@@ -508,8 +500,7 @@ class ScoutKernel:
     def _make_service_path(self, router, attrs: Attrs, policy: str,
                            priority: int, name: str) -> Path:
         path = path_create(router, attrs, transforms=self.transforms,
-                           admission=self.admission,
-                           specialize=self.specialize)
+                           admission=self.admission)
         self.world.spawn(self._service_thread_body(path),
                          name=f"{name}-path{path.pid}", policy=policy,
                          priority=priority, path=path)
@@ -552,8 +543,7 @@ class ScoutKernel:
                           prebuffer: int = 0,
                           deadline_mode: str = "output",
                           trace: bool = False,
-                          batch: int = 1,
-                          specialize: Optional[bool] = None) -> Attrs:
+                          batch: int = 1) -> Attrs:
         """The invariants SHELL (or a test) supplies for an MPEG path."""
         from ..display.router import PA_DEADLINE_MODE, PA_PREBUFFER
 
@@ -578,8 +568,6 @@ class ScoutKernel:
         })
         if trace:
             attrs[PA_TRACE] = self.observatory
-        if specialize is not None:
-            attrs[PA_SPECIALIZE] = specialize
         return attrs
 
     def start_video(self, profile: ClipProfile, remote: Tuple[str, int],
@@ -588,8 +576,7 @@ class ScoutKernel:
         """Create an MPEG path + thread; returns the live session."""
         attrs = self.build_video_attrs(profile, remote, **attr_kwargs)
         path = path_create(self.display, attrs, transforms=self.transforms,
-                           admission=self.admission,
-                           specialize=self.specialize)
+                           admission=self.admission)
         return self._attach_video_path(path, early_drop_skipped)
 
     def _attach_video_path(self, path: Path,
@@ -665,8 +652,7 @@ class ScoutKernel:
                                            local_port=port, **attr_kwargs)
             path = path_create(self.display, attrs,
                                transforms=self.transforms,
-                               admission=self.admission,
-                               specialize=self.specialize)
+                               admission=self.admission)
             group.add(path)
             sessions.append(self._attach_video_path(path,
                                                     early_drop_skipped))
@@ -734,8 +720,7 @@ class ScoutKernel:
                        inq_len: int = 64,
                        outq_len: int = 64,
                        policy: str = POLICY_RR,
-                       priority: int = 0,
-                       specialize: Optional[bool] = None) -> Path:
+                       priority: int = 0) -> Path:
         """Create a port-bound TEST sink path plus its service thread.
 
         Requires the kernel to have been built with ``udp_sink=True``
@@ -763,11 +748,8 @@ class ScoutKernel:
             PA_OUTQ_LEN: outq_len,
             PA_BATCH: batch,
         })
-        if specialize is not None:
-            attrs[PA_SPECIALIZE] = specialize
         path = path_create(self.test, attrs, transforms=self.transforms,
-                           admission=self.admission,
-                           specialize=self.specialize)
+                           admission=self.admission)
         body = (self._sink_thread_body_batched(path, batch) if batch > 1
                 else self._service_thread_body(path))
         self.world.spawn(body, name=f"sink-path{path.pid}",

@@ -34,7 +34,6 @@ class EthStage(Stage):
         self.ethertype = 0
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._receive)
-        self.set_deliver_batch(BWD, self._receive_batch)
 
     def establish(self, attrs: Attrs) -> None:
         """Freeze the frame header fields for this path.
@@ -80,28 +79,8 @@ class EthStage(Stage):
         msg.pop(EthHeader.SIZE)
         return forward(iface, msg, direction, **kwargs)
 
-    def _receive_batch(self, iface, msgs, direction: int, **kwargs):
-        """Vectorized receive for a validated run (DESIGN.md §13).
 
-        Accepts the run only when every message carries the flow-cache
-        ``eth_validated`` annotation — then each message needs exactly
-        what the scalar fast branch does: the per-stage charge and the
-        header strip.  Mixed runs decline so the scalar function keeps
-        its per-message drop semantics.
-        """
-        if not all(m.meta.get("eth_validated") for m in msgs):
-            return None
-        self.router.rx_validated += len(msgs)
-        cost = params.ETH_PROC_US
-        size = EthHeader.SIZE
-        for m in msgs:
-            del m.meta["eth_validated"]
-            charge(m, cost)
-            m.pop(size)
-        return msgs
-
-
-def _specialize_eth(stage: EthStage, iface, fn, fn_batch, direction: int,
+def _specialize_eth(stage: EthStage, iface, fn, direction: int,
                     terminal: bool) -> Optional[StageFragment]:
     """Fuse the validated receive branch of :meth:`EthStage._receive`:
     per-stage charge, stamp consumption, header strip.  Anything else —
@@ -109,8 +88,7 @@ def _specialize_eth(stage: EthStage, iface, fn, fn_batch, direction: int,
     """
     if direction != BWD or terminal:
         return None
-    if not stage.has_pristine_deliver(BWD, EthStage._receive,
-                                      EthStage._receive_batch):
+    if not stage.has_pristine_deliver(BWD, EthStage._receive):
         return None
     router = stage.router
 

@@ -136,7 +136,7 @@ class MflowStage(Stage):
         charge(data_msg, wadv.meta.get("cost_us", 0.0))
 
 
-def _specialize_mflow(stage: MflowStage, iface, fn, fn_batch, direction: int,
+def _specialize_mflow(stage: MflowStage, iface, fn, direction: int,
                       terminal: bool) -> Optional[StageFragment]:
     """Fuse :meth:`MflowStage._receive` — including every sequencing
     branch, inline.

@@ -44,7 +44,6 @@ class UdpStage(Stage):
         self.rx_validated = 0
         self.set_deliver(FWD, self._send)
         self.set_deliver(BWD, self._receive)
-        self.set_deliver_batch(BWD, self._receive_batch)
 
     def establish(self, attrs: Attrs) -> None:
         """Bind the local port to this path so the classifier can map
@@ -126,29 +125,8 @@ class UdpStage(Stage):
         msg.meta["udp_header"] = header
         return forward_or_deposit(iface, msg, direction, **kwargs)
 
-    def _receive_batch(self, iface, msgs, direction: int, **kwargs):
-        """Vectorized receive for a validated run (DESIGN.md §13).
 
-        Accepts the run only when every message carries the flow-cache
-        ``udp_validated`` annotation, the stage is interior, and no
-        checksum pass is configured (checksummed paths verify per
-        message).  Per message this is exactly the scalar fast branch:
-        charge and header strip.
-        """
-        if iface.next is None or self.use_checksum \
-                or not all(m.meta.get("udp_validated") for m in msgs):
-            return None
-        self.rx_validated += len(msgs)
-        cost = params.UDP_PROC_US
-        size = UdpHeader.SIZE
-        for m in msgs:
-            del m.meta["udp_validated"]
-            charge(m, cost)
-            m.pop(size)
-        return msgs
-
-
-def _specialize_udp(stage: UdpStage, iface, fn, fn_batch, direction: int,
+def _specialize_udp(stage: UdpStage, iface, fn, direction: int,
                     terminal: bool) -> Optional[StageFragment]:
     """Fuse the validated no-checksum receive branch of
     :meth:`UdpStage._receive`: charge, stamp consumption, header strip.
@@ -159,8 +137,7 @@ def _specialize_udp(stage: UdpStage, iface, fn, fn_batch, direction: int,
     if direction != BWD or terminal or iface.next is None \
             or stage.use_checksum:
         return None
-    if not stage.has_pristine_deliver(BWD, UdpStage._receive,
-                                      UdpStage._receive_batch):
+    if not stage.has_pristine_deliver(BWD, UdpStage._receive):
         return None
 
     def cost_expr(ctx):

@@ -65,8 +65,7 @@ class ShardedKernel:
     def __init__(self, shards: int = 2, mode: str = "threads",
                  ports: Sequence[int] = (6100,),
                  batch: int = 8, inq_len: int = 64, outq_len: int = 64,
-                 seed: int = 0, specialize: Optional[bool] = None,
-                 control_plane: bool = False):
+                 seed: int = 0, control_plane: bool = False):
         if mode not in ("threads", "process"):
             raise ValueError(f"unknown shard mode {mode!r}")
         self.shards = shards
@@ -87,7 +86,7 @@ class ShardedKernel:
         self._specs = [
             ShardSpec(shard, seed=seed + shard, ports=ports, batch=batch,
                       inq_len=inq_len, outq_len=outq_len,
-                      specialize=specialize, control_plane=control_plane)
+                      control_plane=control_plane)
             for shard in range(shards)]
         self._books: Dict[int, Any] = {}
         self._finished: Optional[FabricBooks] = None

@@ -51,13 +51,12 @@ class ShardSpec:
     """
 
     __slots__ = ("shard_id", "seed", "ports", "batch", "inq_len",
-                 "outq_len", "specialize", "local_mac", "local_ip",
+                 "outq_len", "local_mac", "local_ip",
                  "remote_mac", "remote_ip", "control_plane")
 
     def __init__(self, shard_id: int, seed: int = 0,
                  ports: Sequence[int] = (6100,),
                  batch: int = 8, inq_len: int = 64, outq_len: int = 64,
-                 specialize: Optional[bool] = None,
                  local_mac: str = "02:00:00:00:00:01",
                  local_ip: str = "10.0.0.1",
                  remote_mac: str = "02:00:00:00:00:02",
@@ -69,7 +68,6 @@ class ShardSpec:
         self.batch = batch
         self.inq_len = inq_len
         self.outq_len = outq_len
-        self.specialize = specialize
         self.local_mac = local_mac
         self.local_ip = local_ip
         self.remote_mac = remote_mac
@@ -103,7 +101,7 @@ class ShardWorker:
         self.kernel = ScoutKernel(
             self.world, self.segment,
             local_mac=spec.local_mac, local_ip=spec.local_ip,
-            udp_sink=True, display=False, specialize=spec.specialize)
+            udp_sink=True, display=False)
         self.kernel.arp.add_entry(IpAddr(spec.remote_ip),
                                   EthAddr(spec.remote_mac))
         self.metrics = MetricsRegistry()
@@ -120,12 +118,14 @@ class ShardWorker:
             "shard_inq_high_watermark", shard=self.shard_id)
         self._drops: List[Tuple[Optional[int], str]] = []
         self.kernel.drop_hook = self._on_drop
-        self._delivered_cursor = 0
+        #: Messages the TEST sink delivered, counted as their fates ship
+        #: (the sink's ``received`` list is emptied each time, so worker
+        #: memory stays flat however many frames pass through).
+        self.delivered = 0
         for port in spec.ports:
             self.kernel.start_udp_sink(
                 port, remote=(spec.remote_ip, 7000), batch=spec.batch,
-                inq_len=spec.inq_len, outq_len=spec.outq_len,
-                specialize=spec.specialize)
+                inq_len=spec.inq_len, outq_len=spec.outq_len)
         # -- shard-local control plane ------------------------------------
         # The shedder observes the sink input queues (its ``shedding``
         # flag is the watchdog's overload discriminator); it does not
@@ -160,8 +160,7 @@ class ShardWorker:
             path = self.kernel.start_udp_sink(
                 port, remote=(self.spec.remote_ip, 7000),
                 batch=self.spec.batch, inq_len=self.spec.inq_len,
-                outq_len=self.spec.outq_len,
-                specialize=self.spec.specialize)
+                outq_len=self.spec.outq_len)
             self.shedder.watch(path.input_queue(BWD))
             return path
         return rebuild
@@ -203,12 +202,13 @@ class ShardWorker:
     def _collect_fates(self) -> List[Fate]:
         fates: List[Fate] = []
         received = self.kernel.test.received
-        for msg in received[self._delivered_cursor:]:
+        for msg in received:
             serial = msg.meta.get("shard_serial")
             if serial is not None:
                 fates.append((serial, DELIVERED, msg.to_bytes()))
                 self._m_delivered.inc()
-        self._delivered_cursor = len(received)
+        self.delivered += len(received)
+        received.clear()
         for serial, category in self._drops:
             if serial is not None:
                 fates.append((serial, category, None))
@@ -245,7 +245,7 @@ class ShardWorker:
             if counter:
                 drops[category] = counter
         account = {
-            "delivered": len(kernel.test.received),
+            "delivered": self.delivered + len(kernel.test.received),
             "delivered_bytes": kernel.test.bytes_received,
             "drops": drops,
         }

@@ -17,6 +17,7 @@ import pathlib
 
 import pytest
 
+from repro.core.path import Path
 from repro.experiments import run_adversary
 from repro.experiments.adversary_exp import run_adversary_matrix
 
@@ -61,7 +62,7 @@ class TestSpecializationInvariance:
                      horizon_us=20_000.0)
 
     def _matrix_digests(self, monkeypatch, enabled):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "1" if enabled else "0")
+        monkeypatch.setattr(Path, "specialize", enabled)
         results = run_adversary_matrix(
             strategies=("queue_storm", "deadline_cliff"),
             schedulers=("edf", "stride"), seed=7, **self.MATRIX_KW)
@@ -75,9 +76,9 @@ class TestSpecializationInvariance:
 
     def test_single_run_digest_unaffected_by_specialization(
             self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "0")
+        monkeypatch.setattr(Path, "specialize", False)
         off = run_adversary(seed=7, **RUN_KW)
-        monkeypatch.setenv("REPRO_SPECIALIZE", "1")
+        monkeypatch.setattr(Path, "specialize", True)
         on = run_adversary(seed=7, **RUN_KW)
         assert on.digest == off.digest
         assert (on.injected, on.delivered, on.max_queue_depth) \

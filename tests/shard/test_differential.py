@@ -17,6 +17,7 @@ sink parameters, not of which shard it shares with whom.
 
 import pytest
 
+from repro.core.path import Path
 from repro.faults.adversary import DELIVERED
 from repro.shard import ShardedKernel
 
@@ -91,22 +92,23 @@ class TestOverloadParity:
 class TestSpecializedTierParity:
     """The specialized execution tier engages per-shard and must not
     perturb parity (the CI matrix re-runs this whole module with
-    ``REPRO_SPECIALIZE=1``; this test forces the tier explicitly so it
-    is exercised either way)."""
+    ``--tier compiled``; these tests pin the tier explicitly so both
+    are exercised either way)."""
 
-    def test_specialized_vs_interpreted_fabric(self):
+    def test_specialized_vs_interpreted_fabric(self, monkeypatch):
         offers = [interleaved_workload(6, 8, start=i * 48)
                   for i in range(3)]
-        assert_fabrics_agree(
-            run_fabric(4, 6, offers, batch=8, specialize=False),
-            run_fabric(4, 6, offers, batch=8, specialize=True))
+        monkeypatch.setattr(Path, "specialize", False)
+        compiled = run_fabric(4, 6, offers, batch=8)
+        monkeypatch.setattr(Path, "specialize", True)
+        assert_fabrics_agree(compiled, run_fabric(4, 6, offers, batch=8))
 
-    def test_specialized_one_vs_four(self):
+    def test_specialized_one_vs_four(self, monkeypatch):
         offers = [interleaved_workload(6, 8, start=i * 48)
                   for i in range(3)]
-        assert_fabrics_agree(
-            run_fabric(1, 6, offers, batch=8, specialize=True),
-            run_fabric(4, 6, offers, batch=8, specialize=True))
+        monkeypatch.setattr(Path, "specialize", True)
+        assert_fabrics_agree(run_fabric(1, 6, offers, batch=8),
+                             run_fabric(4, 6, offers, batch=8))
 
 
 class TestRebalanceParity:

@@ -10,7 +10,9 @@ code replicates the scalar accumulation order float-add by float-add, so
 even rounding may not drift.
 
 Tier selection is data, not code: the same scenario function runs for
-each tier and only the ``specialize``/``interpret_only`` knobs differ.
+each tier and only the ``Path.specialize``/``interpret_only`` pins
+differ.  :func:`apply_tier` sets both per path, so these comparisons
+hold whatever suite-wide ``--tier`` the run was started with.
 Where the specialized tier is expected to engage (warm validated UDP
 runs), the scenario additionally asserts ``specialized_msgs > 0`` so a
 silently-declining generator cannot make these tests pass vacuously.
@@ -33,17 +35,9 @@ FRAMES = 60
 def apply_tier(tier, *paths):
     """Pin already-created *paths* to an execution tier."""
     for path in paths:
-        if tier == "interpreted":
-            path.interpret_only = True
-        elif tier == "specialized":
-            path.specialize = True
-            path.compile_chains()
-
-
-def kernel_kwargs(tier):
-    """ScoutKernel construction knob for *tier* (paths created later
-    still need :func:`apply_tier` for the interpreted tier)."""
-    return {"specialize": tier == "specialized"}
+        path.interpret_only = tier == "interpreted"
+        path.specialize = tier == "specialized"
+        path.compile_chains()
 
 
 def path_books(path):
@@ -85,8 +79,7 @@ class TestUdpVideoDifferential:
         testbed = Testbed(seed=3)
         clip = synthesize_clip(NEPTUNE, seed=3, nframes=FRAMES)
         source = testbed.add_video_source(clip, dst_port=6100)
-        kernel = testbed.build_scout(rate_limited_display=False,
-                                     **kernel_kwargs(tier))
+        kernel = testbed.build_scout(rate_limited_display=False)
         session = kernel.start_video(NEPTUNE, (str(source.ip), 7200),
                                      local_port=6100, batch=batch)
         apply_tier(tier, session.path)
@@ -139,8 +132,7 @@ class TestMultipathGroupDifferential:
         testbed = Testbed(seed=5)
         clip = synthesize_clip(NEPTUNE, seed=5, nframes=FRAMES)
         source = testbed.add_video_source(clip, dst_port=6200)
-        kernel = testbed.build_scout(rate_limited_display=False,
-                                     **kernel_kwargs(tier))
+        kernel = testbed.build_scout(rate_limited_display=False)
         vgroup = kernel.start_video_group(NEPTUNE, (str(source.ip), 7200),
                                           members=2, local_port=6200)
         apply_tier(tier, *vgroup.paths)
@@ -186,8 +178,7 @@ class TestHttpDifferential:
         graph, wire = web.__wrapped__()
         conn = path_create(graph.router("HTTP"),
                            Attrs({PA_NET_PARTICIPANTS: ("10.0.0.9", 51000),
-                                  PA_LOCAL_PORT: 80}),
-                           specialize=tier == "specialized")
+                                  PA_LOCAL_PORT: 80}))
         apply_tier(tier, conn)
         request = b"GET /index.html HTTP/1.0\r\n\r\n"
         conn.deliver(segment(graph, 0, request), BWD)
@@ -203,47 +194,80 @@ class TestHttpDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Scenario 4: warm validated runs, batch=1 vs batch=32, all tiers
+# Scenario 4: validated runs, per-message and batched, all tiers
 # ---------------------------------------------------------------------------
 
 
 class TestBatchShapeDifferential:
     """The fused function sees whole runs; batch shape must not leak
     into any observable.  This is the scenario where tier 2 engages on
-    every message, so the delivered bytes comparison is the strongest
-    equivalence statement in the file."""
+    every stamped run, so the delivered bytes comparison is the
+    strongest equivalence statement in the file.
 
-    def run_stack(self, tier, chunk):
+    ``chunk`` 0 delivers each message on its own through
+    ``Path.deliver``; otherwise runs of ``chunk`` go through
+    ``deliver_batch``.  ``cold`` lists messages that lack the flow-cache
+    stamps: a run holding one declines the fused function as a whole,
+    yet every message must still arrive in order, each stamped one on
+    its validated receive branch."""
+
+    FRAMES = 64
+
+    def run_stack(self, tier, chunk, cold=()):
         stack = Fig7Stack()
         path = path_create(stack.test,
                            Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
-                                  PA_LOCAL_PORT: 6100}),
-                           specialize=tier == "specialized")
+                                  PA_LOCAL_PORT: 6100}))
         apply_tier(tier, path)
         frames = [Msg(stack.udp_frame(6100, payload=b"payload%03d" % i))
-                  for i in range(64)]
-        for msg in frames:
-            for stamp in VALIDATED_STAMPS:  # warm flow-cache annotations
-                msg.meta[stamp] = True
-        for start in range(0, len(frames), chunk):
-            path.deliver_batch(frames[start:start + chunk], BWD)
+                  for i in range(self.FRAMES)]
+        for i, msg in enumerate(frames):
+            if i not in cold:
+                for stamp in VALIDATED_STAMPS:  # warm flow-cache hit
+                    msg.meta[stamp] = True
+        if chunk == 0:
+            results = [path.deliver(msg, BWD) for msg in frames]
+        else:
+            results = []
+            for start in range(0, len(frames), chunk):
+                results += path.deliver_batch(frames[start:start + chunk],
+                                              BWD)
         if tier == "specialized":
-            assert path.specialized_msgs == len(frames)
+            step = chunk or 1
+            runs = [range(i, min(i + step, self.FRAMES))
+                    for i in range(0, self.FRAMES, step)]
+            assert path.specialized_msgs == sum(
+                len(run) for run in runs if not set(run) & set(cold))
         return {
             "delivered": [m.to_bytes() for m in stack.test.received],
-            "metas": [dict(m.meta) for m in stack.test.received],
+            # Header objects the cold messages' scalar receive stashes
+            # compare by value through their repr.
+            "metas": [{key: repr(value) for key, value in m.meta.items()}
+                      for m in stack.test.received],
+            "results": results,
             "books": path_books(path),
             "rx_validated": (stack.eth.rx_validated, stack.ip.rx_validated,
                              path.stage_of("UDP").rx_validated),
             "outq": len(path.output_queue(BWD)),
         }
 
-    @pytest.mark.parametrize("chunk", [1, 32])
-    def test_tiers_agree_per_batch_shape(self, chunk):
-        result = assert_tiers_agree(lambda tier: self.run_stack(tier, chunk))
-        assert len(result["delivered"]) == 64
-        assert result["delivered"][3].endswith(b"payload003")
+    @pytest.mark.parametrize("chunk,cold", [
+        pytest.param(1, (), id="1"),
+        pytest.param(32, (), id="32"),
+        pytest.param(0, (), id="scalar"),
+        pytest.param(32, (1, 40), id="32-mixed"),
+    ])
+    def test_tiers_agree_per_batch_shape(self, chunk, cold):
+        result = assert_tiers_agree(
+            lambda tier: self.run_stack(tier, chunk, cold))
+        assert result["delivered"] == [b"payload%03d" % i
+                                       for i in range(self.FRAMES)]
+        assert result["results"] == [None] * self.FRAMES
+        stamped = self.FRAMES - len(cold)
+        assert result["rx_validated"] == (stamped,) * 3
 
     def test_batch_shape_invisible_within_each_tier(self):
         for tier in TIERS:
-            assert self.run_stack(tier, 1) == self.run_stack(tier, 32), tier
+            scalar = self.run_stack(tier, 0)
+            assert self.run_stack(tier, 1) == scalar, tier
+            assert self.run_stack(tier, 32) == scalar, tier

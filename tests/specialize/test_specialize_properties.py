@@ -35,9 +35,10 @@ class Twin:
         self.path = path_create(
             self.stack.test,
             Attrs({PA_NET_PARTICIPANTS: (REMOTE_IP, 7000),
-                   PA_LOCAL_PORT: PORT}),
-            specialize=specialize)
+                   PA_LOCAL_PORT: PORT}))
+        self.path.specialize = specialize
         self.path.interpret_only = not specialize
+        self.path.compile_chains()
         #: Per-interposition message ledgers; a stale specialized
         #: function bypassing a live wrapper would desynchronize these.
         self.wrapper_log = []
@@ -90,9 +91,6 @@ class Twin:
                            ("TEST", "_sink")):
             stage = self.path.stage_of(name)
             stage.set_deliver(BWD, getattr(stage, attr))
-            batch = getattr(stage, attr + "_batch", None)
-            if batch is not None:
-                stage.set_deliver_batch(BWD, batch)
 
     # -- traffic ------------------------------------------------------------
 

@@ -134,11 +134,6 @@ class TestScoutEntry:
 
 
 class TestDeprecationShims:
-    def test_legacy_deep_name_resolves_with_warning(self):
-        import repro.net
-        with pytest.warns(DeprecationWarning, match="repro.net"):
-            assert api.MflowRouter is repro.net.MflowRouter
-
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             api.definitely_not_a_name
@@ -285,16 +280,6 @@ class TestScoutLifecycle:
 
 
 class TestRenamedFacadeNames:
-    @pytest.mark.parametrize("legacy,supported", [
-        ("AsyncExecutor", "AioExecutor"),
-        ("AsyncWorld", "AioWorld"),
-        ("SocketDevice", "SocketNetDevice"),
-        ("WallclockBridge", "WallClockBridge"),
-    ])
-    def test_renamed_name_resolves_with_warning(self, legacy, supported):
-        with pytest.warns(DeprecationWarning, match=supported):
-            assert getattr(api, legacy) is getattr(api, supported)
-
     def test_wallclock_names_are_exported(self):
         for name in ("AioWorld", "AioExecutor", "SocketNetDevice",
                      "WallClockBridge", "BACKENDS", "EXECUTORS"):
