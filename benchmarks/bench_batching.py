@@ -48,13 +48,16 @@ ROUNDS = 7
 
 
 def _annotate(msg, key):
-    """What the kernel's flow-cache annotate hook guarantees: the key
-    match re-validated the ETH/IP/UDP headers, so stages may take their
-    validated fast receive."""
-    meta = msg.meta
-    meta["eth_validated"] = True
-    meta["ip_validated"] = True
-    meta["udp_validated"] = True
+    """Build a flow-cache entry's annotator with what the kernel's
+    guarantees: the key match re-validated the ETH/IP/UDP headers, so
+    stages may take their validated fast receive."""
+    def stamp(hits):
+        for hit in hits:
+            meta = hit.meta
+            meta["eth_validated"] = True
+            meta["ip_validated"] = True
+            meta["udp_validated"] = True
+    return stamp
 
 
 class _Pipeline:

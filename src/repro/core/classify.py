@@ -29,8 +29,9 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional
 
 from .errors import ClassificationError
+from .flowcache import DERIVE_KEY
 from .message import Msg
-from .path import DELETED, Path
+from .path import DELETED, ESTABLISHED, Path
 from .router import DemuxResult, Router, Service
 
 #: Refinement-hop cap: a demux cycle is a router bug, not a data property.
@@ -118,7 +119,7 @@ class ClassifierStats:
 
 def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                 stats: Optional[ClassifierStats] = None,
-                cache=None) -> ClassifyResult:
+                cache=None, key=DERIVE_KEY) -> ClassifyResult:
     """Run the incremental demux chain starting at *router*.
 
     This is the canonical classifier; :func:`classify` and
@@ -131,7 +132,9 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     supplied it is consulted before the refinement chain — an established
     flow classifies in one probe — and successful chain classifications
     populate it.  The cache itself guarantees it never returns a path
-    that is not ESTABLISHED.
+    that is not ESTABLISHED.  A caller that already holds the message's
+    flow key passes it as *key* (``None`` for an unkeyable message), so
+    neither the probe nor the insert slices the header again.
 
     **Multipath dispatch happens here, at the demux boundary.**  When the
     classified path belongs to a :class:`~repro.multipath.PathGroup`, the
@@ -147,7 +150,7 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
     account for it separately (see :mod:`repro.sim.cpu`).
     """
     if cache is not None:
-        cached = cache.lookup(msg)
+        cached = cache.lookup(msg, key)
         if cached is not None:
             group = cached.group
             if group is not None:
@@ -193,7 +196,7 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
                     # others cache the demux anchor so later packets hit
                     # in one probe but are still re-dispatched above.
                     cache.insert(msg, member if group.policy.sticky
-                                 else chosen)
+                                 else chosen, key)
                 chosen = member
             elif getattr(chosen, "state", None) == DELETED:
                 # Liveness guard: a demux map entry can outlive its path
@@ -212,7 +215,7 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
             if observer is not None:
                 observer.on_demux(msg, hops)
             if cache is not None and group is None:
-                cache.insert(msg, chosen)
+                cache.insert(msg, chosen, key)
             return ClassifyResult(chosen, SOURCE_DEMUX)
         if result.forward is not None:
             offset += result.consumed
@@ -232,7 +235,7 @@ def classify_ex(router: Router, msg: Msg, service: Optional[Service] = None,
 
 def classify(router: Router, msg: Msg, service: Optional[Service] = None,
              stats: Optional[ClassifierStats] = None,
-             cache=None) -> Optional[Path]:
+             cache=None, key=DERIVE_KEY) -> Optional[Path]:
     """Path-only shim over :func:`classify_ex` (the historical surface).
 
     Returns the path to use, or ``None`` when no appropriate path exists
@@ -241,7 +244,7 @@ def classify(router: Router, msg: Msg, service: Optional[Service] = None,
     was made — demux chain, flow-cache probe, or group re-dispatch — use
     :func:`classify_ex` and read :class:`ClassifyResult`.
     """
-    return classify_ex(router, msg, service, stats, cache).path
+    return classify_ex(router, msg, service, stats, cache, key).path
 
 
 def classify_or_raise(router: Router, msg: Msg,
@@ -257,78 +260,72 @@ def classify_or_raise(router: Router, msg: Msg,
 def classify_batch(router: Router, msgs: Iterable[Msg],
                    service: Optional[Service] = None,
                    stats: Optional[ClassifierStats] = None,
-                   cache=None) -> List[ClassifyResult]:
+                   cache=None, keys=None) -> List[ClassifyResult]:
     """Classify a batch of arrivals, amortizing decisions over runs.
 
-    Consecutive messages sharing a flow-cache key form a *run*: each
-    message's key is computed exactly once (to find run boundaries), the
-    run head takes the ordinary :func:`classify_ex` walk, and followers
-    resolve through :meth:`FlowCache.lookup_key
-    <repro.core.flowcache.FlowCache.lookup_key>` with the precomputed
-    key — one demux decision covers the whole run.
+    Consecutive messages sharing a flow-cache key form a *run*.  Each
+    message is keyed exactly once — by the caller, who passes *keys* in
+    arrival order, or here with the cache's ``key_of`` — and a run costs
+    one flow-cache probe when its entry is *plain*: ESTABLISHED, not in
+    a path group and not observed.  Such a run is accounted in bulk
+    (:meth:`FlowCache.hit_run <repro.core.flowcache.FlowCache.hit_run>`
+    plus ``stats.classified``/``stats.cache_hits`` by the run length),
+    and each message gets only ``meta["path"]`` and the entry's
+    annotation.  A run head that misses walks the refinement chain with
+    its precomputed key and installs the entry its followers then ride.
 
-    **Accounting is exact per message.**  Followers bump the same
-    counters a per-message :func:`classify` would (``stats.classified``,
-    ``stats.cache_hits``, the cache's hit counter and metric mirror, the
-    ``annotate`` hook, and each path observer's ``on_demux``), and
-    non-sticky group anchors re-dispatch *every* message through the
-    selection policy, so round-robin spreads and drop ledgers are
-    indistinguishable from classifying the batch one message at a time.
-    A follower that cannot ride the head's decision (no cache, the head
-    was discarded, the entry vanished, or a sticky re-spread fired
-    mid-run) falls back to its own full walk.
+    Everything else — no cache, unkeyable messages, path groups (whose
+    policy must see every message), observed (``PA_TRACE``) paths and
+    stale entries — is classified one message at a time by
+    :func:`classify_ex`.  Either way the counters, cache state, drop
+    ledgers and ``meta`` end exactly as classifying the batch one
+    message at a time would leave them.
 
     Returns one :class:`ClassifyResult` per message, in arrival order,
     each carrying the length of the run it belonged to.
     """
     arrivals = list(msgs)
-    results: List[ClassifyResult] = []
     n = len(arrivals)
-    keys = None
-    if cache is not None:
+    if cache is None:
+        return [classify_ex(router, msg, service, stats) for msg in arrivals]
+    if keys is None:
         key_of = cache.key_of
-        keys = [key_of(m) for m in arrivals]
+        keys = [key_of(msg) for msg in arrivals]
+    results: List[ClassifyResult] = []
     i = 0
     while i < n:
-        key = keys[i] if keys is not None else None
+        key = keys[i]
         j = i + 1
         if key is not None:
             while j < n and keys[j] == key:
                 j += 1
         run = j - i
-        head_result = classify_ex(router, arrivals[i], service, stats, cache)
-        if run > 1:
-            head_result = head_result._replace(run_length=run)
-        results.append(head_result)
-        for k in range(i + 1, j):
-            follower = arrivals[k]
-            cached = (cache.lookup_key(key, follower)
-                      if head_result.path is not None else None)
-            if cached is None:
-                # No decision to share (head discarded, entry evicted, or
-                # the path died mid-run): full per-message walk.
-                results.append(classify_ex(router, follower, service, stats,
-                                           cache)._replace(run_length=run))
+        if key is not None:
+            path = cache.peek(key)
+            if path is None:
+                # Miss: the head walks the chain and installs the entry.
+                result = classify_ex(router, arrivals[i], service, stats,
+                                     cache, key)
+                results.append(result if run == 1
+                               else result._replace(run_length=run))
+                i += 1
+                path = cache.peek(key) if i < j else None
+            if (path is not None and path.state == ESTABLISHED
+                    and path.group is None and path.observer is None):
+                riders = arrivals[i:j]
+                cache.hit_run(key, riders)
+                for msg in riders:
+                    msg.meta["path"] = path
+                if stats is not None:
+                    stats.classified += len(riders)
+                    stats.cache_hits += len(riders)
+                results.extend([ClassifyResult(path, SOURCE_CACHE, run)]
+                               * len(riders))
+                i = j
                 continue
-            group = cached.group
-            if group is not None:
-                resolved = _dispatch_group(group, cached, follower, cache,
-                                           stats)
-                if resolved is _RESPREAD:
-                    results.append(classify_ex(
-                        router, follower, service, stats,
-                        cache)._replace(run_length=run))
-                    continue
-                source = SOURCE_CACHE if group.policy.sticky else SOURCE_GROUP
-                results.append(ClassifyResult(resolved, source, run))
-                continue
-            if stats is not None:
-                stats.classified += 1
-                stats.cache_hits += 1
-            follower.meta["path"] = cached
-            observer = cached.observer
-            if observer is not None:
-                observer.on_demux(follower, 1)
-            results.append(ClassifyResult(cached, SOURCE_CACHE, run))
+        for msg in arrivals[i:j]:
+            result = classify_ex(router, msg, service, stats, cache, key)
+            results.append(result if run == 1
+                           else result._replace(run_length=run))
         i = j
     return results

@@ -24,26 +24,28 @@ Correctness rules (enforced here, exercised by the chaos test):
 The cache is policy-free about what constitutes a flow: the owner supplies
 ``key_of(msg) -> Optional[bytes]`` (return ``None`` for ineligible
 traffic, which bypasses the cache entirely) and an optional
-``annotate(msg, key)`` hook that reproduces whatever ``msg.meta``
-annotations the demux chain would have stashed (the SHELL's reply path
-reads ``meta["ip_src"]``, so a cache hit must not lose it).
+``annotate(msg, key)`` hook that builds, once per entry, the annotator
+reproducing whatever ``msg.meta`` annotations the demux chain would have
+stashed on a hit (the SHELL's reply path reads ``meta["ip_src"]``, so a
+cache hit must not lose it).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from .path import ESTABLISHED, Path
 
-#: Frame layout offsets for :func:`flow_key_ipv4_udp` (ETH 14 + IP 20 +
+#: Frame layout offsets for :func:`flow_key_frame` (ETH 14 + IP 20 +
 #: UDP 8 — the minimum frame that can carry a keyable flow).
 _FLOW_KEY_BYTES = 42
-_ETHERTYPE_IPV4 = b"\x08\x00"
+#: Ethertype IPv4 followed by version 4, IHL 5 (no IP options).
+_IPV4_NO_OPTIONS = b"\x08\x00\x45"
 _IPPROTO_UDP = 17
 
 #: The validated-fast-receive ``msg.meta`` stamps (DESIGN.md §13) an
-#: ``annotate`` hook installs on a flow-cache hit.  A stamp asserts the
+#: entry's annotator installs on a flow-cache hit.  A stamp asserts the
 #: corresponding layer's checks already passed during classification, so
 #: the stage may skip validation; the specialized execution tier
 #: (DESIGN.md §15) additionally requires *all* of them per message before
@@ -51,8 +53,12 @@ _IPPROTO_UDP = 17
 #: tuple so the stamp names can never drift apart.
 VALIDATED_STAMPS = ("eth_validated", "ip_validated", "udp_validated")
 
+#: Default of the *key* arguments of :class:`FlowCache`: derive the key
+#: from the message with ``key_of``.
+DERIVE_KEY = object()
 
-def flow_key(msg: Any) -> Optional[bytes]:
+
+def flow_key_frame(frame: bytes) -> Optional[bytes]:
     """Exact-match flow key for non-fragmented IPv4/UDP frames.
 
     The key covers every header byte the demux chain's routing decision
@@ -64,44 +70,26 @@ def flow_key(msg: Any) -> Optional[bytes]:
     cache understanding a protocol.
 
     This is the single source of truth for "what is a flow": the
-    :class:`FlowCache` keys its entries on it, and the shard fabric's
-    dispatcher (:mod:`repro.shard.dispatch`) hashes exactly the same
-    bytes to pin a flow to a shard — so a flow-cache entry and a shard
-    pinning can never disagree about flow identity.
+    :class:`FlowCache` keys its entries on it, the kernel keys each
+    received frame with it once before any ``Msg`` exists, and the shard
+    fabric's dispatcher (:mod:`repro.shard.dispatch`) hashes exactly the
+    same bytes to pin a flow to a shard — so a flow-cache entry and a
+    shard pinning can never disagree about flow identity.  The key is
+    always ``bytes``, whatever bytes-like *frame* is.
     """
+    if (len(frame) < _FLOW_KEY_BYTES
+            or frame[12:15] != _IPV4_NO_OPTIONS
+            or frame[23] != _IPPROTO_UDP
+            or frame[20] & 0x3F or frame[21]):  # MF flag or fragment offset
+        return None
+    return b"".join((frame[0:6], frame[23:24], frame[26:38]))
+
+
+def flow_key(msg: Any) -> Optional[bytes]:
+    """:func:`flow_key_frame` over a :class:`~repro.core.message.Msg`."""
     if len(msg) < _FLOW_KEY_BYTES:
         return None
-    head = msg.peek(_FLOW_KEY_BYTES)
-    if head[12:14] != _ETHERTYPE_IPV4:
-        return None
-    if head[14] != 0x45:  # IPv4 with no options (IHL == 5)
-        return None
-    if head[23] != _IPPROTO_UDP:
-        return None
-    if (head[20] & 0x3F) or head[21]:  # MF flag or nonzero fragment offset
-        return None
-    return head[0:6] + head[23:24] + head[26:38]
-
-
-def flow_key_frame(frame: bytes) -> Optional[bytes]:
-    """:func:`flow_key` over raw wire bytes (no :class:`Msg` wrapper).
-
-    The shard dispatcher classifies at the RX boundary, before any
-    ``Msg`` exists; slicing the frame directly keeps that peek free of
-    per-frame object construction.  Returns exactly what
-    :func:`flow_key` would return for ``Msg(frame)``.
-    """
-    if len(frame) < _FLOW_KEY_BYTES:
-        return None
-    if frame[12:14] != _ETHERTYPE_IPV4:
-        return None
-    if frame[14] != 0x45:
-        return None
-    if frame[23] != _IPPROTO_UDP:
-        return None
-    if (frame[20] & 0x3F) or frame[21]:
-        return None
-    return frame[0:6] + frame[23:24] + frame[26:38]
+    return flow_key_frame(msg.peek(_FLOW_KEY_BYTES))
 
 
 #: Historical name for :func:`flow_key`, kept for existing callers.
@@ -121,19 +109,30 @@ class FlowCache:
         ineligible (the lookup is a miss and the classification result is
         not inserted).  Defaults to :func:`flow_key`.
     annotate:
-        Optional ``annotate(msg, key)`` run on every hit to reproduce the
-        ``msg.meta`` annotations the skipped demux chain would have made.
+        Optional ``annotate(msg, key) -> annotator`` run once when an
+        entry is installed, with the message that installed it.  The
+        returned ``annotator(msgs)`` (or ``None``) is kept in the entry
+        and run on the messages of every hit to reproduce the
+        ``msg.meta`` annotations the skipped demux chain would have made;
+        whatever it precomputes lives and dies with the entry.
+
+    Every method that needs a message's key takes it precomputed as
+    *key* (``None`` for an ineligible message); left out, the key is
+    derived with *key_of*.
     """
 
     def __init__(self, capacity: int = 128,
                  key_of: Optional[Callable[[Any], Optional[bytes]]] = None,
-                 annotate: Optional[Callable[[Any, bytes], None]] = None):
+                 annotate: Optional[Callable[[Any, bytes],
+                                             Optional[Callable]]] = None):
         if capacity < 1:
             raise ValueError("flow cache capacity must be positive")
         self.capacity = capacity
         self.key_of = key_of if key_of is not None else flow_key
         self.annotate = annotate
-        self._entries: "OrderedDict[bytes, Path]" = OrderedDict()
+        #: key -> (path, annotator or None)
+        self._entries: "OrderedDict[bytes, Tuple[Path, Optional[Callable]]]" \
+            = OrderedDict()
         self._keys_of_path: Dict[int, Set[bytes]] = {}
         #: group id -> {pid: path} for entries whose path belongs to a
         #: :class:`~repro.multipath.PathGroup`, so a group re-spread or a
@@ -157,35 +156,25 @@ class FlowCache:
 
     # -- the fast path ------------------------------------------------------
 
-    def lookup(self, msg: Any) -> Optional[Path]:
+    def lookup(self, msg: Any, key: Any = DERIVE_KEY) -> Optional[Path]:
         """Return the established path for *msg*, or ``None`` on a miss.
 
-        A hit refreshes the entry's recency and runs the ``annotate``
-        hook.  An entry whose path is no longer ESTABLISHED is evicted
-        and reported as a miss — the cache never returns a dead path.
+        A hit refreshes the entry's recency and runs the entry's
+        annotator.  An entry whose path is no longer ESTABLISHED is
+        evicted and reported as a miss — the cache never returns a dead
+        path.  An ineligible message (``None`` key) is not counted.
         """
-        key = self.key_of(msg)
+        if key is DERIVE_KEY:
+            key = self.key_of(msg)
         if key is None:
             return None
-        return self.lookup_key(key, msg)
-
-    def lookup_key(self, key: bytes, msg: Any) -> Optional[Path]:
-        """:meth:`lookup` with a precomputed *key*.
-
-        Batch classification (:func:`repro.core.classify.classify_batch`)
-        computes every message's key once to group arrivals into runs;
-        run followers probe with that key instead of re-slicing the
-        header.  Accounting (hits/misses/stale evictions, metric mirrors,
-        the ``annotate`` hook, LRU recency) is identical to
-        :meth:`lookup`, so batched and per-message counters reconcile
-        exactly.
-        """
-        path = self._entries.get(key)
-        if path is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += 1
             if self._metric_misses is not None:
                 self._metric_misses.inc()
             return None
+        path, annotator = entry
         if path.state != ESTABLISHED:
             # Stale: the path died without invalidating (defense in depth;
             # Path.delete normally purges its keys synchronously).
@@ -199,13 +188,38 @@ class FlowCache:
         self.hits += 1
         if self._metric_hits is not None:
             self._metric_hits.inc()
-        if self.annotate is not None:
-            self.annotate(msg, key)
+        if annotator is not None:
+            annotator((msg,))
         return path
+
+    def peek(self, key: bytes) -> Optional[Path]:
+        """The path cached under *key*, with no accounting, recency or
+        liveness check — the probe a run of same-key messages makes
+        before deciding whether it can share one decision."""
+        entry = self._entries.get(key)
+        return entry[0] if entry is not None else None
+
+    def hit_run(self, key: bytes, msgs: Sequence[Any]) -> None:
+        """Account a run of same-key *msgs* as hits on the live entry
+        under *key* (the caller has just checked it with :meth:`peek`).
+
+        One recency refresh, one bulk counter bump and one annotator call
+        cover the run, which annotates every message.  Counters, metric
+        mirror and LRU order end exactly where ``len(msgs)`` successive
+        :meth:`lookup` hits would leave them.
+        """
+        self._entries.move_to_end(key)
+        count = len(msgs)
+        self.hits += count
+        if self._metric_hits is not None:
+            self._metric_hits.inc(count)
+        annotator = self._entries[key][1]
+        if annotator is not None:
+            annotator(msgs)
 
     # -- population ---------------------------------------------------------
 
-    def insert(self, msg: Any, path: Path) -> bool:
+    def insert(self, msg: Any, path: Path, key: Any = DERIVE_KEY) -> bool:
         """Cache *path* as the classification of *msg*'s flow.
 
         Only ESTABLISHED paths are admitted.  Returns True when an entry
@@ -213,13 +227,16 @@ class FlowCache:
         """
         if path.state != ESTABLISHED:
             return False
-        key = self.key_of(msg)
+        if key is DERIVE_KEY:
+            key = self.key_of(msg)
         if key is None:
             return False
         previous = self._entries.get(key)
-        if previous is not None and previous is not path:
+        if previous is not None and previous[0] is not path:
             self._discard_key(key)
-        self._entries[key] = path
+        annotator = (self.annotate(msg, key) if self.annotate is not None
+                     else None)
+        self._entries[key] = (path, annotator)
         self._entries.move_to_end(key)
         self._keys_of_path.setdefault(path.pid, set()).add(key)
         gid = getattr(path, "group_id", None)
@@ -227,7 +244,7 @@ class FlowCache:
             self._group_members.setdefault(gid, {})[path.pid] = path
         path.register_flow_cache(self)
         while len(self._entries) > self.capacity:
-            old_key, old_path = self._entries.popitem(last=False)
+            old_key, (old_path, _) = self._entries.popitem(last=False)
             self._keys_of_path.get(old_path.pid, set()).discard(old_key)
             self.evictions += 1
             if self._metric_evictions is not None:
@@ -301,9 +318,9 @@ class FlowCache:
         return removed
 
     def _discard_key(self, key: bytes) -> None:
-        path = self._entries.pop(key, None)
-        if path is not None:
-            self._keys_of_path.get(path.pid, set()).discard(key)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._keys_of_path.get(entry[0].pid, set()).discard(key)
 
     # -- observability ------------------------------------------------------
 

@@ -16,7 +16,8 @@ depending on the simulator.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Deque, Iterator, List, Optional,
+                    Sequence)
 
 from .errors import QueueFullError
 
@@ -142,18 +143,48 @@ class PathQueue:
 
     # -- batch operations ---------------------------------------------------
 
-    def try_enqueue_batch(self, items: Iterable[Any]) -> int:
-        """Enqueue every item in *items*; returns how many were accepted.
+    def try_enqueue_batch(self, items: Sequence[Any],
+                          on_offer: Optional[Callable[[Any], None]] = None
+                          ) -> int:
+        """Enqueue a run of *items*; returns how many were accepted.
 
-        Rejected items count as drops and fire the drop listeners exactly
-        as individual :meth:`try_enqueue` rejections would — batching
-        amortizes dispatch, never accounting.
+        One capacity check splits the run: the prefix that fits is
+        appended, the suffix that does not is rejected.  Statistics and
+        listeners stay exact per item, as if each item had been offered
+        to :meth:`try_enqueue` in turn: every enqueue listener fires once
+        per accepted item, with :attr:`last_enqueued` set to that item
+        and the queue holding exactly the items up to it, and every
+        rejected item counts a drop and fires the drop listeners.
+        Batching amortizes dispatch, never accounting.
+
+        *on_offer*, when given, is called with each item just before the
+        queue takes or rejects it, so per-item bookkeeping that listeners
+        read (the kernel's arrival-rate estimate) is current when they
+        fire.
         """
-        accepted = 0
-        for item in items:
-            if self.try_enqueue(item):
-                accepted += 1
-        return accepted
+        room = len(items)
+        if self.maxlen is not None:
+            room = max(0, min(room, self.maxlen - len(self._items)))
+        queued = self._items
+        insert = self._insert
+        listeners = self._enqueue_listeners
+        for item in items[:room]:
+            if on_offer is not None:
+                on_offer(item)
+            insert(item)
+            self.enqueued += 1
+            self.last_enqueued = item
+            if len(queued) > self.high_watermark:
+                self.high_watermark = len(queued)
+            for listener in listeners:
+                listener(self)
+        for item in items[room:]:
+            if on_offer is not None:
+                on_offer(item)
+            self.dropped += 1
+            for listener in self._drop_listeners:
+                listener(self, item, self.overflow_reason)
+        return room
 
     def dequeue_batch(self, limit: Optional[int] = None) -> List[Any]:
         """Remove and return up to *limit* items (all queued when ``None``).
@@ -168,8 +199,16 @@ class PathQueue:
         if limit is None:
             limit = len(self._items)
         out: List[Any] = []
-        while len(out) < limit and self._items:
-            out.append(self.dequeue())
+        queued = self._items
+        remove = self._remove
+        listeners = self._dequeue_listeners
+        while len(out) < limit and queued:
+            item = remove()
+            self.dequeued += 1
+            self.last_dequeued = item
+            for listener in listeners:
+                listener(self)
+            out.append(item)
         return out
 
     def drain(self, reason: str = "cleared") -> List[Any]:

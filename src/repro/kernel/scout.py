@@ -34,7 +34,7 @@ from ..core.attributes import (
     Attrs,
 )
 from ..core.classify import ClassifierStats, classify, classify_batch
-from ..core.flowcache import VALIDATED_STAMPS, FlowCache
+from ..core.flowcache import VALIDATED_STAMPS, FlowCache, flow_key_frame
 from ..core.graph import RouterGraph
 from ..core.message import Msg
 from ..core.path import DELETED, Path
@@ -222,10 +222,10 @@ class ScoutKernel:
         self.classifier_stats = ClassifierStats()
         #: Established-flow fast path for interrupt-time classification:
         #: one exact-match probe instead of the ETH->IP->UDP->... chain.
-        #: The annotate hook reproduces the meta the skipped demux hops
-        #: would have stashed (SHELL reads ``ip_src`` for replies).
+        #: Each entry's annotator reproduces the meta the skipped demux
+        #: hops would have stashed (SHELL reads ``ip_src`` for replies).
         self.flow_cache = FlowCache(capacity=flow_cache_capacity,
-                                    annotate=self._annotate_flow_hit)
+                                    annotate=self._flow_annotator)
         self.flow_cache.bind_metrics(self.observatory.metrics)
         self.sessions: List[VideoSession] = []
         self.shell_path: Optional[Path] = None
@@ -277,7 +277,7 @@ class ScoutKernel:
         msg = Msg(frame, meta={"rx_time": self.world.now})
         refinements_before = self.classifier_stats.refinements
         path = classify(self.eth, msg, stats=self.classifier_stats,
-                        cache=self.flow_cache)
+                        cache=self.flow_cache, key=flow_key_frame(frame))
         # A cache hit adds no refinements, so its modeled interrupt cost
         # is a single probe — the speedup the flow cache exists to buy.
         hops = self.classifier_stats.refinements - refinements_before + 1
@@ -287,44 +287,64 @@ class ScoutKernel:
     def rx_burst(self, frames, metas=None) -> int:
         """Interrupt-time receive for a burst of frames (DESIGN.md §13).
 
-        Classification runs through
-        :func:`~repro.core.classify.classify_batch`, so consecutive
-        frames of one flow share a single demux decision; each frame then
-        takes the same admission step (early discard, input-queue
-        deposit, memory charge, drop ledger) it would take through
-        :meth:`_rx` one at a time.  The modeled interrupt cost is the
-        exact sum of the per-frame costs — one probe per cache-riding
-        frame, per-hop cost for chain walks — charged in one
-        ``extend_interrupt`` call.  Returns how many frames were
-        deposited on a path input queue.
+        Every frame is keyed once, from its raw bytes, and
+        :func:`~repro.core.classify.classify_batch` resolves each
+        same-flow run with one flow-cache probe.  Consecutive frames
+        bound for the same path are then deposited with one
+        :meth:`~repro.core.queues.PathQueue.try_enqueue_batch`; frames
+        that need a per-frame decision at admission (no path, an
+        early-discard filter, inline ICMP) or whose trace records must
+        interleave per frame (an observed path) take :meth:`_admit` one
+        at a time.  Either way every frame ends with the fate, books and
+        modeled interrupt cost it would get through :meth:`_rx` — one
+        probe per cache-riding frame, per-hop cost for chain walks,
+        charged in one ``extend_interrupt`` call.  Returns how many
+        frames were deposited on a path input queue.
 
-        *metas*, when given, is a per-frame sequence of extra ``meta``
-        entries stamped onto each message before classification — the
-        shard fabric's handoff serials ride in through here so every
-        frame's fate can be accounted to the ledger that injected it.
+        *frames* is a sequence of bytes-like frames.  *metas*, when
+        given, is a per-frame sequence of extra ``meta`` entries stamped
+        onto each message before classification — the shard fabric's
+        handoff serials ride in through here so every frame's fate can
+        be accounted to the ledger that injected it.
         """
         now = self.world.now
-        msgs = [Msg(frame, meta={"rx_time": now}) for frame in frames]
+        msgs = [Msg(frame) for frame in frames]
+        keys = [flow_key_frame(frame) for frame in frames]
+        for msg in msgs:
+            msg.meta["rx_time"] = now
         if metas is not None:
             for msg, extra in zip(msgs, metas):
                 if extra:
                     msg.meta.update(extra)
         refinements_before = self.classifier_stats.refinements
         results = classify_batch(self.eth, msgs, stats=self.classifier_stats,
-                                 cache=self.flow_cache)
+                                 cache=self.flow_cache, keys=keys)
         hops_total = (self.classifier_stats.refinements - refinements_before
                       + len(msgs))
         self.world.cpu.extend_interrupt(
             hops_total * params.CLASSIFY_PER_HOP_US)
         deposited = 0
-        for msg, result in zip(msgs, results):
-            if self._admit(result.path, msg):
-                deposited += 1
+        n = len(msgs)
+        i = 0
+        while i < n:
+            path = results[i].path
+            j = i + 1
+            while j < n and results[j].path is path:
+                j += 1
+            if (path is None or path.observer is not None
+                    or path.pid in self._skip_filters
+                    or (self.inline_icmp and path is self.icmp_path)):
+                for msg in msgs[i:j]:
+                    if self._admit(path, msg):
+                        deposited += 1
+            else:
+                deposited += self._deposit(path, msgs[i:j])
+            i = j
         return deposited
 
     def _admit(self, path: Optional[Path], msg: Msg) -> bool:
-        """Post-classification admission, identical for single frames and
-        bursts; returns True when the message reached an input queue."""
+        """Post-classification admission of one fresh message; returns
+        True when the message reached an input queue."""
         if path is None:
             self.unclassified_drops += 1
             msg.meta.setdefault("drop_reason", "no path wants this frame")
@@ -343,7 +363,7 @@ class ScoutKernel:
                 self.drop_hook(msg, "early_discard")
             self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
             return False
-        self._note_arrival(path)
+        self._arrivals(path)(msg)
         if self.inline_icmp and path is self.icmp_path:
             # Ablation: no early segregation for ICMP — serve the request
             # at interrupt level, like a conventional kernel.
@@ -351,50 +371,98 @@ class ScoutKernel:
             self.world.cpu.extend_interrupt(take_cost(msg))
             self.icmp_inline_served += 1
             return False
-        queue = path.input_queue(BWD)
-        if not queue.try_enqueue(msg):
-            self.inq_overflow_drops += 1
-            path.note_drop(msg, "path input queue full", "inq_overflow")
-            if self.drop_hook is not None:
-                self.drop_hook(msg, "inq_overflow")
-            self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
+        if not path.input_queue(BWD).try_enqueue(msg):
+            self._overflow(path, msg)
             return False
-        path.stats.charge_memory(msg.footprint())
+        # A fresh message's footprint is its frame length.
+        path.stats.charge_memory(len(msg))
         return True
 
-    def _annotate_flow_hit(self, msg: Msg, key: bytes) -> None:
-        """Reproduce the ``msg.meta`` annotations the skipped demux chain
-        would have made (ETH, IP and UDP each stash the fields later
-        stages and SHELL command handling read).  The key guarantees a
-        well-formed non-fragmented IPv4/UDP frame, so fixed offsets are
-        safe: ETH src at 6, IP proto at 23, IP src at 26, UDP ports at 34.
+    def _deposit(self, path: Path, msgs: List[Msg]) -> int:
+        """Deposit a run of fresh messages classified to *path* with one
+        batch enqueue; returns how many were accepted.
+
+        The books end exactly as :meth:`_admit` per message leaves them:
+        the arrival-rate estimate advances once per message, just before
+        the queue takes it (a wakeup reads it), the accepted prefix is
+        charged its frame bytes and the rejected suffix takes the
+        per-message overflow ledger.
         """
-        head = msg.peek(38)
-        meta = msg.meta
-        meta["eth_src"] = EthAddr(head[6:12])
-        meta["ip_src"] = IpAddr(head[26:30])
-        meta["ip_proto"] = head[23]
-        meta["udp_ports"] = (int.from_bytes(head[34:36], "big"),
-                             int.from_bytes(head[36:38], "big"))
+        accepted = path.input_queue(BWD).try_enqueue_batch(
+            msgs, self._arrivals(path))
+        if accepted:
+            path.stats.charge_memory(sum(map(len, msgs[:accepted])))
+        for msg in msgs[accepted:]:
+            self._overflow(path, msg)
+        return accepted
+
+    def _overflow(self, path: Path, msg: Msg) -> None:
+        """The drop ledger of a message its path's input queue refused."""
+        self.inq_overflow_drops += 1
+        path.note_drop(msg, "path input queue full", "inq_overflow")
+        if self.drop_hook is not None:
+            self.drop_hook(msg, "inq_overflow")
+        self.world.cpu.extend_interrupt(params.EARLY_DROP_US)
+
+    def _flow_annotator(self, msg: Msg, key: bytes):
+        """Build a flow-cache entry's annotator: the ``msg.meta``
+        annotations the skipped demux chain would have made (ETH, IP and
+        UDP each stash the fields later stages and SHELL command handling
+        read).  The address objects are immutable, so they are built once
+        per entry from the key — IP proto at 6, IP src at 7, UDP ports at
+        15 and 17 — and shared by every hit.  The ETH source is not part
+        of the key: a hit reuses the entry's ``EthAddr`` when its bytes
+        match the installing frame's, and builds its own otherwise.
+        """
+        eth_bytes = msg.peek(6, at=6)
         # The key matched the exact framing, addressing and port bytes,
         # so every header stage may take its validated fast receive —
         # each stage pops its own flag (DESIGN.md §13) — and a fully
         # stamped message is what the specialized tier's fused functions
         # guard on (DESIGN.md §15).
-        for stamp in VALIDATED_STAMPS:
-            meta[stamp] = True
+        note = {
+            "eth_src": EthAddr(eth_bytes),
+            "ip_src": IpAddr(key[7:11]),
+            "ip_proto": key[6],
+            "udp_ports": (int.from_bytes(key[15:17], "big"),
+                          int.from_bytes(key[17:19], "big")),
+            **dict.fromkeys(VALIDATED_STAMPS, True),
+        }
 
-    def _note_arrival(self, path: Path) -> None:
-        """Maintain the path's average packet inter-arrival time, which
-        the input-queue EDF deadline estimate consumes (Section 4.3)."""
+        def annotate(hits: List[Msg]) -> None:
+            for hit in hits:
+                meta = hit.meta
+                meta.update(note)
+                eth_src = hit.peek(6, at=6)
+                if eth_src != eth_bytes:
+                    meta["eth_src"] = EthAddr(eth_src)
+        return annotate
+
+    def _arrivals(self, path: Path):
+        """The arrival hook of *path* for messages received now.
+
+        Each call notes one arrival in the path's average packet
+        inter-arrival time, which the input-queue EDF deadline estimate
+        consumes (Section 4.3).  The hook carries the estimate between
+        calls and writes it back each time, so a wakeup between two
+        deposits of one burst reads exactly the per-message value.
+        """
+        attrs = path.attrs
         now = self.world.now
-        last = path.attrs.get("_last_pkt_arrival_us")
-        if last is not None:
-            sample = now - last
-            previous = path.attrs.get("_pkt_interarrival_us")
-            path.attrs["_pkt_interarrival_us"] = sample if previous is None \
-                else previous + 0.125 * (sample - previous)
-        path.attrs["_last_pkt_arrival_us"] = now
+        last = attrs.get("_last_pkt_arrival_us")
+        estimate = attrs.get("_pkt_interarrival_us")
+
+        def arrive(_msg: Msg) -> None:
+            nonlocal last, estimate
+            if last is not None:
+                sample = now - last
+                estimate = sample if estimate is None \
+                    else estimate + 0.125 * (sample - estimate)
+                attrs["_pkt_interarrival_us"] = estimate
+            if last != now:
+                last = now
+                attrs["_last_pkt_arrival_us"] = now
+        return arrive
 
     def _should_early_drop(self, path: Path, msg: Msg) -> bool:
         """Reduced-quality early discard (Section 4.4): packets belonging
@@ -452,7 +520,7 @@ class ScoutKernel:
             cost = 0.0
             for msg in msgs:
                 cost += take_cost(msg)
-                path.stats.release_memory(msg.footprint())
+            path.stats.release_memory(sum(msg.footprint() for msg in msgs))
             if cost > 0:
                 yield Compute(cost)
             yield YIELD
@@ -771,7 +839,7 @@ class ScoutKernel:
             cost = 0.0
             for msg in msgs:
                 cost += take_cost(msg)
-                path.stats.release_memory(msg.footprint())
+            path.stats.release_memory(sum(msg.footprint() for msg in msgs))
             if cost > 0:
                 yield Compute(cost)
             yield YIELD

@@ -77,7 +77,8 @@ class ShardedKernel:
             shard: DropLedger() for shard in range(shards)}
         self._serials: Dict[int, int] = {shard: 0 for shard in range(shards)}
         #: Flow key of every open serial, so delivered payloads can be
-        #: appended to the right per-flow stream at settle time.
+        #: appended to the right per-flow stream at settle time.  A
+        #: serial's entry leaves with its fate.
         self._serial_flow: Dict[Tuple[int, int], bytes] = {}
         #: Delivered payload bytes per flow key, in delivery order — the
         #: differential-parity observable (byte-identical across modes
@@ -191,10 +192,9 @@ class ShardedKernel:
         ledger = self.ledgers[shard]
         for serial, category, payload in fates:
             ledger.account(serial, category)
-            if payload is not None:
-                flow = self._serial_flow.get((shard, serial))
-                if flow is not None:
-                    self.flow_streams.setdefault(flow, []).append(payload)
+            flow = self._serial_flow.pop((shard, serial), None)
+            if payload is not None and flow is not None:
+                self.flow_streams.setdefault(flow, []).append(payload)
         return fates
 
     # -- failover --------------------------------------------------------------

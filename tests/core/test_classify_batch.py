@@ -131,6 +131,40 @@ class TestClassifyBatchRuns:
         assert [r.source for r in results] == [SOURCE_DEMUX] * 2
 
 
+class TestRunFastPath:
+    def test_precomputed_keys_are_used_as_given(self):
+        """With *keys* supplied nothing re-derives a key: the missing
+        head inserts under its key and the followers ride it."""
+        _, routers, path = bound_chain("A", bind_at="A")
+
+        def no_key_of(msg):
+            raise AssertionError("key_of must not run")
+
+        cache = FlowCache(capacity=8, key_of=no_key_of)
+        msgs = [Msg(b"A1"), Msg(b"A2"), Msg(b"A3")]
+        results = classify_batch(routers[0], msgs, cache=cache,
+                                 keys=[b"A"] * 3)
+        assert [r.source for r in results] \
+            == [SOURCE_DEMUX, SOURCE_CACHE, SOURCE_CACHE]
+        assert cache.hits == 2 and cache.misses == 1
+
+    def test_observed_path_sees_every_demux(self):
+        """An observed path's runs stay per-message: the observer gets
+        one ``on_demux`` per message, not one per run."""
+        _, routers, path = bound_chain("A", bind_at="A")
+        seen = []
+
+        class Observer:
+            def on_demux(self, msg, hops):
+                seen.append((msg.peek(2), hops))
+
+        cache = cache_of()
+        classify_ex(routers[0], Msg(b"A0"), cache=cache)
+        path.observer = Observer()
+        classify_batch(routers[0], [Msg(b"A1"), Msg(b"A2")], cache=cache)
+        assert seen == [(b"A1", 1), (b"A2", 1)]
+
+
 class TestCounterParity:
     def counters(self, batched):
         """Classify six arrivals (two flows interleaved in runs) and

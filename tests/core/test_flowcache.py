@@ -13,6 +13,7 @@ from repro.core import (
     flow_key_ipv4_udp,
 )
 from repro.experiments.micro import Fig7Stack
+from repro.observe.metrics import MetricsRegistry
 
 
 def established_path() -> Path:
@@ -205,14 +206,69 @@ class TestGroupInvalidation:
 
 class TestAnnotate:
     def test_annotate_runs_on_hits_only(self):
-        seen = []
+        built, seen = [], []
+
+        def annotate(msg, key):
+            built.append(key)
+            return seen.extend  # the entry's annotator, run per hit
+
         cache = FlowCache(capacity=4, key_of=first_byte_key,
-                          annotate=lambda msg, key: seen.append(key))
+                          annotate=annotate)
         path = established_path()
         cache.lookup(b"a")  # miss: no annotation
         cache.insert(b"a", path)
+        assert built == [b"a"] and seen == []
         cache.lookup(b"a")  # hit
         assert seen == [b"a"]
+
+    def test_annotator_lives_and_dies_with_its_entry(self):
+        built = []
+        cache = FlowCache(capacity=1, key_of=first_byte_key,
+                          annotate=lambda msg, key: built.append(key))
+        cache.insert(b"a", established_path())
+        cache.insert(b"b", established_path())  # evicts a
+        cache.insert(b"a", established_path())  # a fresh entry, rebuilt
+        assert built == [b"a", b"b", b"a"]
+
+
+class TestPrecomputedKey:
+    def test_lookup_and_insert_take_the_key_as_given(self):
+        def no_key_of(msg):
+            raise AssertionError("key_of must not run")
+
+        cache = FlowCache(capacity=4, key_of=no_key_of)
+        path = established_path()
+        assert cache.lookup(b"x", b"k") is None
+        assert cache.insert(b"x", path, b"k")
+        assert cache.lookup(b"y", b"k") is path
+        assert cache.lookup(b"z", None) is None  # unkeyable: not counted
+        assert not cache.insert(b"z", path, None)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_hit_run_equals_repeated_lookups(self):
+        def recording_cache(seen):
+            cache = FlowCache(capacity=2, key_of=first_byte_key,
+                              annotate=lambda msg, key: seen.extend)
+            cache.bind_metrics(MetricsRegistry())
+            return cache
+
+        runs, singles = [], []
+        per_run, per_msg = recording_cache(runs), recording_cache(singles)
+        paths = {key: established_path() for key in (b"a", b"b", b"c")}
+        for cache in (per_run, per_msg):
+            cache.insert(b"a", paths[b"a"])
+            cache.insert(b"b", paths[b"b"])
+        assert per_run.peek(b"a") is paths[b"a"]
+        per_run.hit_run(b"a", [b"a1", b"a2", b"a3"])
+        for msg in (b"a1", b"a2", b"a3"):
+            assert per_msg.lookup(msg) is paths[b"a"]
+        assert runs == singles == [b"a1", b"a2", b"a3"]
+        assert per_run.stats() == per_msg.stats()
+        assert per_run._metric_hits.value == per_msg._metric_hits.value == 3
+        # One recency refresh for the run: b is now least recent in both.
+        for cache in (per_run, per_msg):
+            cache.insert(b"c", paths[b"c"])
+            assert cache.peek(b"b") is None and cache.peek(b"a") is not None
 
 
 class TestFlowKey:

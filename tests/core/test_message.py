@@ -204,3 +204,38 @@ def test_split_join_identity(payload, mtu):
         pieces.append(msg.split(mtu))
     pieces.append(msg)
     assert Msg.join(pieces).to_bytes() == payload
+
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.binary(max_size=24)),
+    st.tuples(st.just("pop"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("strip"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("join"), _chunks),
+), max_size=12)
+
+
+@given(st.binary(max_size=96), _edits, st.data())
+def test_peek_matches_to_bytes_after_edits(payload, edits, data):
+    """Whatever chunk layout a push/pop/strip/join history leaves — the
+    first-chunk slice and the cross-chunk copy alike — ``peek`` returns
+    the ``to_bytes()`` slice, and refuses exactly the windows outside
+    the message."""
+    msg = Msg(payload)
+    for op, arg in edits:
+        if op == "push":
+            msg.push(arg)
+        elif op == "join":
+            msg = Msg.join([msg] + [Msg(chunk) for chunk in arg])
+        else:
+            getattr(msg, op)(min(arg, len(msg)))
+    contents = msg.to_bytes()
+    assert len(contents) == len(msg)
+    at = data.draw(st.integers(min_value=0, max_value=len(msg) + 4))
+    n = data.draw(st.integers(min_value=0, max_value=len(msg) + 4))
+    if at + n <= len(msg):
+        window = msg.peek(n, at=at)
+        assert type(window) is bytes
+        assert window == contents[at:at + n]
+    else:
+        with pytest.raises(ValueError):
+            msg.peek(n, at=at)

@@ -35,6 +35,45 @@ class TestTryEnqueueBatch:
         assert q.enqueued == 0
 
 
+    def test_listeners_see_the_queue_item_by_item(self):
+        q = PathQueue(maxlen=3)
+        q.enqueue("x")
+        events = []
+        q.on_enqueue(lambda queue: events.append(
+            ("enq", queue.last_enqueued, len(queue), queue.enqueued)))
+        q.on_drop(lambda queue, item, why: events.append(
+            ("drop", item, len(queue), queue.dropped)))
+        assert q.try_enqueue_batch(
+            ["a", "b", "c"], lambda item: events.append(("offer", item))) == 2
+        assert events == [("offer", "a"), ("enq", "a", 2, 2),
+                          ("offer", "b"), ("enq", "b", 3, 3),
+                          ("offer", "c"), ("drop", "c", 3, 1)]
+
+    def test_batch_equals_repeated_try_enqueue(self):
+        solo, batch = PathQueue(maxlen=5), PathQueue(maxlen=5)
+        for q in (solo, batch):
+            q.enqueue(0)
+            q.overflow_reason = "full"
+        dropped = {id(solo): [], id(batch): []}
+        for q in (solo, batch):
+            q.on_drop(lambda queue, item, why: dropped[id(queue)].append(
+                (item, why)))
+        items = list(range(1, 8))
+        accepted = sum(solo.try_enqueue(item) for item in items)
+        assert batch.try_enqueue_batch(items) == accepted == 4
+        assert list(batch) == list(solo)
+        for name in ("enqueued", "dropped", "high_watermark",
+                     "last_enqueued"):
+            assert getattr(batch, name) == getattr(solo, name)
+        assert dropped[id(batch)] == dropped[id(solo)] == [
+            (5, "full"), (6, "full"), (7, "full")]
+
+    def test_unbounded_queue_takes_everything(self):
+        q = PathQueue(maxlen=None)
+        assert q.try_enqueue_batch(list(range(100))) == 100
+        assert q.high_watermark == 100
+
+
 class TestDequeueBatch:
     def test_drains_everything_by_default(self):
         q = PathQueue(maxlen=8)

@@ -59,8 +59,8 @@ class TestChaosGroup:
         served_states = []
         inner_lookup = kernel.flow_cache.lookup
 
-        def spying_lookup(msg):
-            path = inner_lookup(msg)
+        def spying_lookup(msg, *key):
+            path = inner_lookup(msg, *key)
             if path is not None:
                 served_states.append(path.state)
             return path

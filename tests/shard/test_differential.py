@@ -89,6 +89,37 @@ class TestOverloadParity:
             run_fabric(4, 12, offers, batch=4, inq_len=16))
 
 
+class TestSettledSerials:
+    """A serial's flow entry leaves the fabric with its fate, so the
+    parent holds no per-frame state once every offer has settled."""
+
+    def test_no_flow_entry_outlives_its_fate(self):
+        from repro.core import flow_key_frame
+        flows, burst_len, inq_len = 8, 24, 16
+        offers = [interleaved_workload(flows, 1, burst_len=burst_len,
+                                       start=i * flows * burst_len)
+                  for i in range(3)]
+        fabric = ShardedKernel(shards=2, mode="threads", batch=8,
+                               inq_len=inq_len, ports=fabric_ports(flows))
+        for frames in offers:
+            fabric.offer(frames)
+            assert fabric._serial_flow == {}
+        counts = fabric.finish().ledger.counts()
+        delivered = len(offers) * flows * inq_len
+        assert counts == {DELIVERED: delivered,
+                          "inq_overflow": len(offers) * flows
+                          * (burst_len - inq_len)}
+        # Each burst fills its flow's queue with its first inq_len
+        # frames and overflows the rest; the streams keep every
+        # delivered payload in order.
+        assert fabric.flow_streams == {
+            flow_key_frame(udp_frame(flow, 0)): [
+                b"flow%02d-%06d" % (flow, i * flows * burst_len
+                                    + flow * burst_len + k)
+                for i in range(len(offers)) for k in range(inq_len)]
+            for flow in range(flows)}
+
+
 class TestSpecializedTierParity:
     """The specialized execution tier engages per-shard and must not
     perturb parity (the CI matrix re-runs this whole module with
